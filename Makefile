@@ -95,7 +95,9 @@ race:
 	$(GO) test -race -short ./...
 
 # Short-budget native fuzzing of the input boundaries: Matrix Market
-# parsing, SDDM construction, and factor deserialization. Each target runs
+# parsing, SDDM construction, factor deserialization, and the netlist and
+# solution-file parsers (FuzzParse also holds the netlist scanner to its
+# reference implementation). Each target runs
 # a few seconds — enough for regressions, not a soak; raise FUZZTIME for a
 # longer hunt.
 FUZZTIME ?= 5s
@@ -108,6 +110,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseOptDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/optcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSolveRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSystemRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/powergrid
+	$(GO) test -run='^$$' -fuzz='^FuzzReadSolution$$' -fuzztime=$(FUZZTIME) ./internal/powergrid
 
 # soak runs the solve-service chaos suite under the race detector with a
 # stretched duration: fault-injected factorizations and preconditioners,

@@ -14,6 +14,13 @@
 // visible to the target through ImportObjectFact/ImportPackageFact. The
 // cross-package summary analyzers (ssalite/summary, atomicmix) are
 // therefore testable against multi-package fixtures.
+//
+// Within one package the analyzers are scheduled the way the unitchecker
+// schedules them: each analyzer runs once, on its own goroutine, as soon
+// as its Requires have finished, and sibling analyzers sharing a
+// required result read it concurrently. Run under -race, a shared result
+// that is mutated after its analyzer returns is caught here rather than
+// as a crash in `go vet`.
 package linttest
 
 import (
@@ -139,6 +146,14 @@ func loadFixture(srcdir, path string) (*fixturePkg, error) {
 // fact flow.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
+	RunAll(t, dir, []*analysis.Analyzer{a}, pkgpaths...)
+}
+
+// RunAll is Run for several analyzers at once: they run concurrently on
+// each package, as under the unitchecker, and their diagnostics are
+// checked together against the want comments.
+func RunAll(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgpaths ...string) {
+	t.Helper()
 	for _, path := range pkgpaths {
 		path := path
 		t.Run(path, func(t *testing.T) {
@@ -150,7 +165,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 			}
 			facts := newFactStore()
 			analyzed := map[*types.Package]bool{}
-			diags := runAnalyzer(t, a, fp, srcdir, facts, analyzed, true)
+			diags := runAnalyzers(t, analyzers, fp, srcdir, facts, analyzed, true)
 			checkWants(t, fp, diags)
 		})
 	}
@@ -162,6 +177,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 // packages because every fixture is type-checked against the same
 // fileset and importer cache.
 type factStore struct {
+	mu  sync.Mutex // analyzers of one package export concurrently
 	obj map[objFactKey]analysis.Fact
 	pkg map[pkgFactKey]analysis.Fact
 }
@@ -202,10 +218,19 @@ func TestdataDir(t *testing.T) string {
 	return filepath.Join(filepath.Dir(file), "testdata")
 }
 
-// runAnalyzer analyzes fp with a's full Requires closure, after first
-// analyzing (reporting nothing) every fixture-local dependency so its
-// facts are in the store. collect is true only for the target package.
-func runAnalyzer(t *testing.T, a *analysis.Analyzer, fp *fixturePkg, srcdir string, facts *factStore, analyzed map[*types.Package]bool, collect bool) []analysis.Diagnostic {
+// An action is one analyzer's run on one package.
+type action struct {
+	once   sync.Once
+	result interface{}
+	err    error
+}
+
+// runAnalyzers analyzes fp with the roots' full Requires closure, after
+// first analyzing (reporting nothing) every fixture-local dependency so
+// its facts are in the store. collect is true only for the target
+// package. Diagnostics come back sorted by position and message, so
+// the concurrent schedule never changes what the test sees.
+func runAnalyzers(t *testing.T, roots []*analysis.Analyzer, fp *fixturePkg, srcdir string, facts *factStore, analyzed map[*types.Package]bool, collect bool) []analysis.Diagnostic {
 	t.Helper()
 	if analyzed[fp.pkg] {
 		return nil
@@ -219,79 +244,140 @@ func runAnalyzer(t *testing.T, a *analysis.Analyzer, fp *fixturePkg, srcdir stri
 		if err != nil {
 			t.Fatalf("loading fixture dependency %s: %v", imp.Path(), err)
 		}
-		runAnalyzer(t, a, dep, srcdir, facts, analyzed, false)
+		runAnalyzers(t, roots, dep, srcdir, facts, analyzed, false)
 	}
 
-	results := map[*analysis.Analyzer]interface{}{}
+	actions := map[*analysis.Analyzer]*action{}
+	var visit func(a *analysis.Analyzer)
+	visit = func(a *analysis.Analyzer) {
+		if actions[a] == nil {
+			actions[a] = &action{}
+			for _, req := range a.Requires {
+				visit(req)
+			}
+		}
+	}
+	isRoot := map[*analysis.Analyzer]bool{}
+	for _, a := range roots {
+		visit(a)
+		isRoot[a] = true
+	}
+
+	var diagsMu sync.Mutex
 	var diags []analysis.Diagnostic
-	var exec func(a *analysis.Analyzer, root bool)
-	exec = func(a *analysis.Analyzer, root bool) {
-		if _, done := results[a]; done && !root {
-			return
-		}
-		for _, req := range a.Requires {
-			exec(req, false)
-		}
-		factTypes := map[reflect.Type]bool{}
-		for _, f := range a.FactTypes {
-			factTypes[reflect.TypeOf(f)] = true
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      fp.files,
-			Pkg:        fp.pkg,
-			TypesInfo:  fp.info,
-			TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-			ResultOf:   results,
-			Report: func(d analysis.Diagnostic) {
-				if root && collect {
+	var exec func(a *analysis.Analyzer)
+	var execAll func(as []*analysis.Analyzer)
+	exec = func(a *analysis.Analyzer) {
+		act := actions[a]
+		act.once.Do(func() {
+			execAll(a.Requires)
+			inputs := map[*analysis.Analyzer]interface{}{}
+			for _, req := range a.Requires {
+				r := actions[req]
+				if r.err != nil {
+					act.err = fmt.Errorf("prerequisite %s failed: %w", req.Name, r.err)
+					return
+				}
+				inputs[req] = r.result
+			}
+			pass := newPass(a, fp, facts, inputs, func(d analysis.Diagnostic) {
+				if isRoot[a] && collect {
+					diagsMu.Lock()
 					diags = append(diags, d)
+					diagsMu.Unlock()
 				}
-			},
-			ReadFile: os.ReadFile,
-			ImportObjectFact: func(obj types.Object, f analysis.Fact) bool {
-				got, ok := facts.obj[objFactKey{obj, reflect.TypeOf(f)}]
-				return ok && copyFact(f, got)
-			},
-			ImportPackageFact: func(pkg *types.Package, f analysis.Fact) bool {
-				got, ok := facts.pkg[pkgFactKey{pkg, reflect.TypeOf(f)}]
-				return ok && copyFact(f, got)
-			},
-			ExportObjectFact: func(obj types.Object, f analysis.Fact) {
-				facts.obj[objFactKey{obj, reflect.TypeOf(f)}] = f
-			},
-			ExportPackageFact: func(f analysis.Fact) {
-				facts.pkg[pkgFactKey{fp.pkg, reflect.TypeOf(f)}] = f
-			},
-			AllObjectFacts: func() []analysis.ObjectFact {
-				var out []analysis.ObjectFact
-				for k, f := range facts.obj {
-					if factTypes[k.t] {
-						out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-					}
-				}
-				return out
-			},
-			AllPackageFacts: func() []analysis.PackageFact {
-				var out []analysis.PackageFact
-				for k, f := range facts.pkg {
-					if factTypes[k.t] {
-						out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-					}
-				}
-				return out
-			},
-			Module: &analysis.Module{Path: "example.com"},
+			})
+			act.result, act.err = a.Run(pass)
+		})
+	}
+	execAll = func(as []*analysis.Analyzer) {
+		var wg sync.WaitGroup
+		for _, a := range as {
+			wg.Add(1)
+			go func(a *analysis.Analyzer) {
+				defer wg.Done()
+				exec(a)
+			}(a)
 		}
-		res, err := a.Run(pass)
-		if err != nil {
+		wg.Wait()
+	}
+	execAll(roots)
+	for _, a := range roots {
+		if err := actions[a].err; err != nil {
 			t.Fatalf("analyzer %s: %v", a.Name, err)
 		}
-		results[a] = res
 	}
-	exec(a, true)
+	sort.Slice(diags, func(i, j int) bool {
+		if diags[i].Pos != diags[j].Pos {
+			return diags[i].Pos < diags[j].Pos
+		}
+		return diags[i].Message < diags[j].Message
+	})
 	return diags
+}
+
+// newPass builds a's pass over fp, wired to the shared fact store.
+func newPass(a *analysis.Analyzer, fp *fixturePkg, facts *factStore, inputs map[*analysis.Analyzer]interface{}, report func(analysis.Diagnostic)) *analysis.Pass {
+	factTypes := map[reflect.Type]bool{}
+	for _, f := range a.FactTypes {
+		factTypes[reflect.TypeOf(f)] = true
+	}
+	return &analysis.Pass{
+		Analyzer:   a,
+		Fset:       fset,
+		Files:      fp.files,
+		Pkg:        fp.pkg,
+		TypesInfo:  fp.info,
+		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
+		ResultOf:   inputs,
+		Report:     report,
+		ReadFile:   os.ReadFile,
+		ImportObjectFact: func(obj types.Object, f analysis.Fact) bool {
+			facts.mu.Lock()
+			defer facts.mu.Unlock()
+			got, ok := facts.obj[objFactKey{obj, reflect.TypeOf(f)}]
+			return ok && copyFact(f, got)
+		},
+		ImportPackageFact: func(pkg *types.Package, f analysis.Fact) bool {
+			facts.mu.Lock()
+			defer facts.mu.Unlock()
+			got, ok := facts.pkg[pkgFactKey{pkg, reflect.TypeOf(f)}]
+			return ok && copyFact(f, got)
+		},
+		ExportObjectFact: func(obj types.Object, f analysis.Fact) {
+			facts.mu.Lock()
+			defer facts.mu.Unlock()
+			facts.obj[objFactKey{obj, reflect.TypeOf(f)}] = f
+		},
+		ExportPackageFact: func(f analysis.Fact) {
+			facts.mu.Lock()
+			defer facts.mu.Unlock()
+			facts.pkg[pkgFactKey{fp.pkg, reflect.TypeOf(f)}] = f
+		},
+		AllObjectFacts: func() []analysis.ObjectFact {
+			facts.mu.Lock()
+			defer facts.mu.Unlock()
+			var out []analysis.ObjectFact
+			for k, f := range facts.obj {
+				if factTypes[k.t] {
+					out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
+				}
+			}
+			return out
+		},
+		AllPackageFacts: func() []analysis.PackageFact {
+			facts.mu.Lock()
+			defer facts.mu.Unlock()
+			var out []analysis.PackageFact
+			for k, f := range facts.pkg {
+				if factTypes[k.t] {
+					out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
+				}
+			}
+			return out
+		},
+		Module: &analysis.Module{Path: "example.com"},
+	}
 }
 
 var wantRe = regexp.MustCompile(`// want (.*)$`)

@@ -117,9 +117,11 @@ var Analyzer = &analysis.Analyzer{
 
 // An Index resolves the summary of any statically known callee: local
 // functions from this package's analysis, imported ones from their
-// package fact.
+// package fact. It is read-only once run returns: lockcheck, detflow and
+// sendblock share one Index and run concurrently under the unitchecker,
+// so every imported fact is loaded up front rather than on first lookup.
 type Index struct {
-	pass     *analysis.Pass
+	pkg      *types.Package
 	local    map[*types.Func]*FuncSummary
 	imported map[*types.Package]map[string]FuncSummary
 }
@@ -133,23 +135,28 @@ func (ix *Index) Lookup(fn *types.Func) (FuncSummary, bool) {
 		return *s, true
 	}
 	pkg := fn.Pkg()
-	if pkg == nil || pkg == ix.pass.Pkg {
+	if pkg == nil || pkg == ix.pkg {
 		return FuncSummary{}, false
 	}
-	m, ok := ix.imported[pkg]
-	if !ok {
-		m = nil
-		var fact PackageSummaries
-		if ix.pass.ImportPackageFact(pkg, &fact) {
-			m = make(map[string]FuncSummary, len(fact.Funcs))
-			for _, ns := range fact.Funcs {
-				m[ns.Name] = ns.Sum
-			}
-		}
-		ix.imported[pkg] = m
-	}
-	s, ok := m[fn.FullName()]
+	s, ok := ix.imported[pkg][fn.FullName()]
 	return s, ok
+}
+
+// importAll indexes the summary fact of every package the pass can see.
+func importAll(pass *analysis.Pass) map[*types.Package]map[string]FuncSummary {
+	out := map[*types.Package]map[string]FuncSummary{}
+	for _, pf := range pass.AllPackageFacts() {
+		fact, ok := pf.Fact.(*PackageSummaries)
+		if !ok || pf.Package == pass.Pkg {
+			continue
+		}
+		m := make(map[string]FuncSummary, len(fact.Funcs))
+		for _, ns := range fact.Funcs {
+			m[ns.Name] = ns.Sum
+		}
+		out[pf.Package] = m
+	}
+	return out
 }
 
 // localCall is one statically resolved call site kept for propagation.
@@ -162,9 +169,9 @@ type localCall struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	ix := &Index{
-		pass:     pass,
+		pkg:      pass.Pkg,
 		local:    map[*types.Func]*FuncSummary{},
-		imported: map[*types.Package]map[string]FuncSummary{},
+		imported: importAll(pass),
 	}
 	// Summaries are computed for this module's packages only. Under
 	// `go vet` the analyzer also visits the standard library and any

@@ -7,18 +7,15 @@ import (
 )
 
 // FuzzParse exercises the netlist parser with arbitrary input: it must
-// never panic, and anything it accepts must survive a write/parse round
-// trip with identical element counts.
+// never panic, must agree with the reference parser in oracle_test.go
+// (elements, node indices, names, error text), and anything it accepts
+// must survive a write/parse round trip with identical element counts.
 func FuzzParse(f *testing.F) {
-	f.Add("R1 a b 1.0\nI1 a 0 0.001\nV1 b 0 1.8\n.op\n.end\n")
-	f.Add("* comment only\n")
-	f.Add("C1 x 0 1e-12\nR2 x y 3\n")
-	f.Add("R1 a b -1\n")
-	f.Add("X unknown element 5\n")
-	f.Add("R1 a\n")
-	f.Add("")
-	f.Add("r1 0 0 1\niX 0 n 2\nv2 0 q 3\n")
+	for _, src := range netlistFixtures {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
+		assertParseMatchesOracle(t, src)
 		nl, err := Parse(strings.NewReader(src))
 		if err != nil {
 			return // rejection is fine; panics are not

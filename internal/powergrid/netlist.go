@@ -2,11 +2,17 @@ package powergrid
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"powerrchol/internal/graph"
 )
@@ -15,8 +21,10 @@ import (
 // DC current loads and ideal voltage sources, all referenced to the
 // ground node "0".
 type Netlist struct {
+	// names[i] is node i's name. Names interned by a scan are substrings
+	// of one string built from the table's arena when the scan ends.
 	names []string
-	index map[string]int
+	tab   nameTable
 
 	Resistors  []Resistor
 	Currents   []CurrentSource
@@ -51,28 +59,149 @@ type VoltageSource struct {
 
 // NewNetlist returns an empty netlist.
 func NewNetlist() *Netlist {
-	return &Netlist{index: make(map[string]int)}
+	return &Netlist{tab: newNameTable()}
 }
 
-// Node interns a node name and returns its index; "0" and "gnd" return -1.
+// Node interns a node name and returns its index; "0" and "gnd" (in any
+// case) return -1. Indices are assigned in first-seen order. Node panics
+// if the name table would outgrow its 32-bit offsets.
 func (nl *Netlist) Node(name string) int {
-	if name == "0" || strings.EqualFold(name, "gnd") {
-		return -1
+	id := nl.tab.intern([]byte(name))
+	if id == len(nl.names) { // first sighting: keep the caller's string
+		nl.names = append(nl.names, name)
 	}
-	if i, ok := nl.index[name]; ok {
-		return i
-	}
-	i := len(nl.names)
-	nl.names = append(nl.names, name)
-	nl.index[name] = i
-	return i
+	return id
 }
 
 // NodeName returns the interned name of node i.
-func (nl *Netlist) NodeName(i int) string { return nl.names[i] }
+func (nl *Netlist) NodeName(i int) string {
+	if i < len(nl.names) {
+		return nl.names[i]
+	}
+	return nl.tab.name(i) // mid-scan: not yet materialized
+}
 
 // NumNodes returns the number of named (non-ground) nodes.
 func (nl *Netlist) NumNodes() int { return len(nl.names) }
+
+// syncNames materializes the names interned since the last sync as
+// substrings of a single string copied from the arena: one allocation
+// for the whole batch instead of one per node.
+func (nl *Netlist) syncNames() {
+	lo, hi := len(nl.names), nl.tab.len()
+	if lo == hi {
+		return
+	}
+	base := nl.tab.offs[lo]
+	all := string(nl.tab.arena[base:])
+	nl.names = slices.Grow(nl.names, hi-lo)
+	for i := lo; i < hi; i++ {
+		nl.names = append(nl.names, all[nl.tab.offs[i]-base:nl.tab.offs[i+1]-base])
+	}
+}
+
+// maxNames bounds the table: ids and arena offsets are 32-bit, and the
+// slot array (at most half full) must stay addressable by a 32-bit tag.
+const maxNames = 1<<31 - 1
+
+var errNameTableFull = errors.New("powergrid: node-name table exceeds 32-bit limits")
+
+// nameTable interns node names without a heap string per name: every
+// name's bytes live in one arena (name i is arena[offs[i]:offs[i+1]]),
+// and an open-addressing slot array finds a name's id by hash. A slot
+// packs a 32-bit hash tag (high half) with id+1 (low half; 0 marks an
+// empty slot). The tag's low bits pick the home slot, so growing the
+// table re-places slots without rehashing a single name. The hash seed
+// is per table, but ids are assigned in first-seen order, so node
+// indices never depend on it.
+type nameTable struct {
+	seed  maphash.Seed
+	arena []byte
+	offs  []uint32 // len = names + 1
+	slots []uint64 // power-of-two length, at most half full
+}
+
+func newNameTable() nameTable {
+	return nameTable{
+		seed:  maphash.MakeSeed(),
+		arena: make([]byte, 0, 8<<10),
+		offs:  make([]uint32, 1, 1024),
+		slots: make([]uint64, 2048),
+	}
+}
+
+func (t *nameTable) len() int { return len(t.offs) - 1 }
+
+func (t *nameTable) name(i int) string { return string(t.arena[t.offs[i]:t.offs[i+1]]) }
+
+var gndName = []byte("gnd")
+
+// fits reports whether two more names of n bytes in total fit the
+// table's 32-bit limits.
+func (t *nameTable) fits(n int) bool {
+	return t.len()+2 <= maxNames && uint64(len(t.arena))+uint64(n) <= math.MaxUint32
+}
+
+// intern returns name's id, adding it if unseen; ground ("0", "gnd" in
+// any case) is -1. Callers check fits first; intern panics past the
+// limits.
+func (t *nameTable) intern(name []byte) int {
+	if (len(name) == 1 && name[0] == '0') || bytes.EqualFold(name, gndName) {
+		return -1
+	}
+	tag := uint32(maphash.Bytes(t.seed, name) >> 32)
+	mask := uint32(len(t.slots) - 1)
+	i := tag & mask
+	for s := t.slots[i]; s != 0; s = t.slots[i] {
+		if uint32(s>>32) == tag {
+			id := uint32(s) - 1
+			if bytes.Equal(t.arena[t.offs[id]:t.offs[id+1]], name) {
+				return int(id)
+			}
+		}
+		i = (i + 1) & mask
+	}
+	if !t.fits(len(name)) {
+		panic(errNameTableFull)
+	}
+	id := t.len()
+	t.arena = grow(t.arena, len(name))
+	t.arena = append(t.arena, name...)
+	t.offs = grow(t.offs, 1)
+	t.offs = append(t.offs, uint32(len(t.arena)))
+	t.slots[i] = uint64(tag)<<32 | uint64(id+1)
+	if 2*(id+1) > len(t.slots) {
+		t.rehome()
+	}
+	return id
+}
+
+// rehome doubles the slot array, placing each slot by its stored tag.
+func (t *nameTable) rehome() {
+	slots := make([]uint64, 2*len(t.slots))
+	mask := uint32(len(slots) - 1)
+	for _, s := range t.slots {
+		if s == 0 {
+			continue
+		}
+		i := uint32(s>>32) & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = s
+	}
+	t.slots = slots
+}
+
+// grow makes room for n more elements, at least doubling the capacity
+// when it reallocates: the ingest slices grow to millions of elements,
+// and append's gentler growth past 256 would allocate dozens of times.
+func grow[S ~[]E, E any](s S, n int) S {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s), 64))
+}
 
 // elementSink receives the typed elements of one netlist scan in file
 // order. Any handler may be nil to skip that element kind.
@@ -83,54 +212,115 @@ type elementSink struct {
 	onCap      func(Capacitor) error
 }
 
+// spaceClass classifies a byte for the field splitter: ASCII bytes are
+// space or not by table, and bytes >= 0x80 start a UTF-8 sequence that
+// must be decoded. The ASCII space set is unicode.IsSpace's.
+var spaceClass = func() (c [256]uint8) {
+	for b := 0x80; b < 0x100; b++ {
+		c[b] = multiByte
+	}
+	for _, b := range []byte("\t\n\v\f\r ") {
+		c[b] = asciiSpace
+	}
+	return c
+}()
+
+const (
+	asciiSpace = 1
+	multiByte  = 2
+)
+
+// field returns the bounds of the first field of line at or after i —
+// a maximal run of runes that are not unicode.IsSpace, exactly as
+// strings.Fields splits — or start == len(line) when none is left.
+func field(line []byte, i int) (start, end int) {
+	inField := false
+	for i < len(line) {
+		w, space := 1, false
+		switch spaceClass[line[i]] {
+		case asciiSpace:
+			space = true
+		case multiByte:
+			var r rune
+			r, w = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if inField {
+				return start, i
+			}
+		} else if !inField {
+			start, inField = i, true
+		}
+		i += w
+	}
+	if !inField {
+		return len(line), len(line)
+	}
+	return start, len(line)
+}
+
+// trimmed returns line stripped of leading and trailing space, as
+// strings.TrimSpace does, given the bounds of its first field.
+func trimmed(line []byte, start, end int) string {
+	for s, e := field(line, end); s < len(line); s, e = field(line, e) {
+		end = e
+	}
+	return string(line[start:end])
+}
+
 // scan parses the IBM power-grid SPICE subset — lines starting with R/r
 // (resistor), I/i (current load), V/v (voltage source), C/c (capacitor);
 // comment lines (*), .op and .end cards are ignored — delivering each
-// element to the sink in file order. Node names are interned through
-// nl.Node with exactly the historical call pattern, so repeated scans of
-// the same stream (the two-pass ingest) assign identical node indices.
+// element to the sink in file order. Lines are tokenized in place in
+// the scanner's buffer, and node names go straight from there into the
+// intern table, so a scan allocates per table growth, not per line.
+// Repeated scans of the same stream (the multi-pass ingest) assign
+// identical node indices.
 func (nl *Netlist) scan(r io.Reader, sink elementSink) error {
+	defer nl.syncNames()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var f [4][]byte
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "*") || strings.HasPrefix(line, ".") {
+		line := sc.Bytes()
+		start, end := field(line, 0)
+		if start == len(line) || line[start] == '*' || line[start] == '.' {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) < 4 {
-			return fmt.Errorf("powergrid: line %d: expected 4 fields, got %q", lineNo, line)
+		nf := 0
+		for s, e := start, end; nf < len(f) && s < len(line); s, e = field(line, e) {
+			f[nf] = line[s:e]
+			nf++
 		}
-		val, err := parseSpiceNumber(f[3])
+		if nf < len(f) {
+			return fmt.Errorf("powergrid: line %d: expected 4 fields, got %q", lineNo, trimmed(line, start, end))
+		}
+		val, err := strconv.ParseFloat(string(f[3]), 64)
 		if err != nil {
 			return fmt.Errorf("powergrid: line %d: bad value %q: %w", lineNo, f[3], err)
 		}
-		switch line[0] {
+		if !nl.tab.fits(len(f[1]) + len(f[2])) {
+			return fmt.Errorf("powergrid: line %d: %w", lineNo, errNameTableFull)
+		}
+		switch line[start] {
 		case 'R', 'r':
 			if val <= 0 {
 				return fmt.Errorf("powergrid: line %d: non-positive resistance %g", lineNo, val)
 			}
-			el := Resistor{A: nl.Node(f[1]), B: nl.Node(f[2]), Ohms: val}
+			el := Resistor{A: nl.tab.intern(f[1]), B: nl.tab.intern(f[2]), Ohms: val}
 			if sink.onResistor != nil {
 				err = sink.onResistor(el)
 			}
 		case 'I', 'i':
-			n := nl.Node(f[1])
-			if n == -1 {
-				n = nl.Node(f[2])
-				val = -val
-			}
+			n, val := nl.source(f[1], f[2], val)
 			if sink.onCurrent != nil {
 				err = sink.onCurrent(CurrentSource{Node: n, Amps: val})
 			}
 		case 'V', 'v':
-			n := nl.Node(f[1])
-			if n == -1 {
-				n = nl.Node(f[2])
-				val = -val
-			}
+			n, val := nl.source(f[1], f[2], val)
 			if sink.onVoltage != nil {
 				err = sink.onVoltage(VoltageSource{Node: n, Volts: val})
 			}
@@ -138,17 +328,27 @@ func (nl *Netlist) scan(r io.Reader, sink elementSink) error {
 			if val < 0 {
 				return fmt.Errorf("powergrid: line %d: negative capacitance %g", lineNo, val)
 			}
+			el := Capacitor{A: nl.tab.intern(f[1]), B: nl.tab.intern(f[2]), Farads: val}
 			if sink.onCap != nil {
-				err = sink.onCap(Capacitor{A: nl.Node(f[1]), B: nl.Node(f[2]), Farads: val})
+				err = sink.onCap(el)
 			}
 		default:
-			return fmt.Errorf("powergrid: line %d: unsupported element %q", lineNo, line)
+			return fmt.Errorf("powergrid: line %d: unsupported element %q", lineNo, trimmed(line, start, end))
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return sc.Err()
+}
+
+// source resolves a source card's node: one written against ground on
+// its first terminal is read from the second, with the sign flipped.
+func (nl *Netlist) source(p, q []byte, val float64) (int, float64) {
+	if n := nl.tab.intern(p); n != -1 {
+		return n, val
+	}
+	return nl.tab.intern(q), -val
 }
 
 // Parse reads the IBM power-grid SPICE subset: lines starting with R/r
@@ -166,10 +366,6 @@ func Parse(r io.Reader) (*Netlist, error) {
 		return nil, err
 	}
 	return nl, nil
-}
-
-func parseSpiceNumber(s string) (float64, error) {
-	return strconv.ParseFloat(s, 64)
 }
 
 // Write emits the netlist in the IBM benchmark format.
@@ -217,7 +413,7 @@ func (nl *Netlist) pinVoltage(fixed map[int]float64, v VoltageSource) error {
 	//pglint:float-exact duplicate-source check: two cards pinning one node conflict unless they parsed to the identical voltage
 	if prev, ok := fixed[v.Node]; ok && prev != v.Volts {
 		return fmt.Errorf("powergrid: node %s pinned to both %g and %g",
-			nl.names[v.Node], prev, v.Volts)
+			nl.NodeName(v.Node), prev, v.Volts)
 	}
 	fixed[v.Node] = v.Volts
 	return nil

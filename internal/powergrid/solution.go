@@ -2,9 +2,11 @@ package powergrid
 
 import (
 	"bufio"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,23 +17,59 @@ import (
 // diff solver output directly.
 
 // WriteSolution writes node voltages sorted by node name (the benchmark
-// convention). names[i] labels voltage v[i].
+// convention); nodes sharing a name keep their input order. names[i]
+// labels voltage v[i]. Each line is "<name>  <v>" with v in %.12e form.
 func WriteSolution(w io.Writer, names []string, v []float64) error {
 	if len(names) != len(v) {
 		return fmt.Errorf("powergrid: %d names for %d voltages", len(names), len(v))
 	}
-	idx := make([]int, len(names))
-	for i := range idx {
-		idx[i] = i
+	// Sort on the first eight name bytes, read as a big-endian integer
+	// (zero-padded, which keeps the integer order the string order), and
+	// compare whole names only when those tie.
+	order := make([]nameKey, len(names))
+	for i, name := range names {
+		var p [8]byte
+		copy(p[:], name)
+		order[i] = nameKey{prefix: binary.BigEndian.Uint64(p[:]), idx: i}
 	}
-	sort.Slice(idx, func(a, b int) bool { return names[idx[a]] < names[idx[b]] })
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for _, i := range idx {
-		if _, err := fmt.Fprintf(bw, "%s  %.12e\n", names[i], v[i]); err != nil {
+	slices.SortFunc(order, func(a, b nameKey) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		if c := strings.Compare(names[a.idx], names[b.idx]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// strconv's 'e' form is byte-identical to fmt's %.12e for every
+	// float64, ±Inf and NaN included.
+	const flushAt = 60 << 10
+	buf := make([]byte, 0, 64<<10)
+	for _, k := range order {
+		buf = append(buf, names[k.idx]...)
+		buf = append(buf, "  "...)
+		buf = strconv.AppendFloat(buf, v[k.idx], 'e', 12, 64)
+		buf = append(buf, '\n')
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// nameKey is one WriteSolution sort entry: a name's leading bytes and
+// its input index.
+type nameKey struct {
+	prefix uint64
+	idx    int
 }
 
 // ReadSolution parses a solution file into a name → voltage map.

@@ -112,13 +112,14 @@ func (c *Cache) GetOrBuild(ctx context.Context, key uint64, build func(context.C
 		return nil, false, err
 	}
 	val.bytes = bytes
-	e.val = val
-	close(e.ready)
-
 	c.mu.Lock()
+	// Set under mu: Invalidate compares e.val while another request's
+	// build of the same entry may still be running.
+	e.val = val
 	c.used += bytes
 	evicted := c.shedLocked(c.budget, e)
 	c.mu.Unlock()
+	close(e.ready)
 	c.runEvictions(evicted)
 	return val, false, nil
 }

@@ -124,7 +124,15 @@ type Server struct {
 	active   atomic.Int64 // requests inside a handler (drain barrier)
 
 	gridsMu sync.Mutex
-	grids   map[uint64]*graph.SDDM
+	grids   map[uint64]grid
+}
+
+// grid is one registered system with its solver fingerprint under the
+// server's fixed options: the cache key and the response's solver field,
+// hashed once at ingest rather than per request.
+type grid struct {
+	sys      *graph.SDDM
+	solverFP uint64
 }
 
 // New builds a server whose background goroutines live under ctx.
@@ -137,7 +145,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		gate:   NewGate(cfg.MaxInflight, cfg.MaxQueue),
 		ctx:    sctx,
 		cancel: cancel,
-		grids:  make(map[uint64]*graph.SDDM),
+		grids:  make(map[uint64]grid),
 	}
 	s.cache = NewCache(cfg.CacheBudgetBytes, func(p *Prepared) {
 		if p.Batch == nil {
@@ -215,6 +223,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := powerrchol.FingerprintSystem(sys)
+	solverFP := powerrchol.Fingerprint(sys, s.cfg.Options)
 	s.gridsMu.Lock()
 	if _, ok := s.grids[fp]; !ok {
 		if len(s.grids) >= s.cfg.MaxGrids {
@@ -223,7 +232,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("serve: grid store full (%d grids)", s.cfg.MaxGrids), 0)
 			return
 		}
-		s.grids[fp] = sys
+		s.grids[fp] = grid{sys: sys, solverFP: solverFP}
 	}
 	s.gridsMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -297,12 +306,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	gridFP, _ := ParseFingerprint(req.Grid) // validated by the decoder
 	s.gridsMu.Lock()
-	sys := s.grids[gridFP]
+	g, ok := s.grids[gridFP]
 	s.gridsMu.Unlock()
-	if sys == nil {
+	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", req.Grid), 0)
 		return
 	}
+	sys := g.sys
 	b, err := req.RHS(sys.N())
 	if err == nil {
 		err = req.CheckReturn(sys.N())
@@ -312,7 +322,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, width, hit, err := s.solve(ctx, level, gridFP, sys, b)
+	res, width, hit, err := s.solve(ctx, level, g, b)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -337,7 +347,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, SolveResponse{
 		Grid:       req.Grid,
-		Solver:     FormatFingerprint(powerrchol.Fingerprint(sys, s.cfg.Options)),
+		Solver:     FormatFingerprint(g.solverFP),
 		X:          x,
 		Iterations: res.Iterations,
 		Residual:   res.Residual,
@@ -352,12 +362,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // poisoned factor must not serve further traffic) and rebuilds once; a
 // batcher stopped by concurrent eviction falls back to a direct solve on
 // the still-valid solver.
-func (s *Server) solve(ctx context.Context, level Level, gridFP uint64, sys *graph.SDDM, b []float64) (*powerrchol.Result, int, bool, error) {
+func (s *Server) solve(ctx context.Context, level Level, g grid, b []float64) (*powerrchol.Result, int, bool, error) {
 	// The cache key is the fingerprint of the *base* configuration: the
 	// ladder's retry downgrade changes how a build recovers from setup
 	// faults, not which logical solver it produces, and keying on the
 	// degraded options would duplicate entries across pressure levels.
-	key := powerrchol.Fingerprint(sys, s.cfg.Options)
+	sys, key := g.sys, g.solverFP
 	// The retry loop runs at most twice: the first pass, plus one rebuild
 	// after a poisoned-entry invalidation. The per-pass allocations below
 	// are annotated against that bound.

@@ -99,6 +99,13 @@ func TestServerSolveRoundTrip(t *testing.T) {
 	if !out2.CacheHit {
 		t.Fatal("second request missed the solver cache")
 	}
+
+	// The solver field is the prepared solver's fingerprint, computed
+	// once at ingest and shared with the cache key.
+	want := FormatFingerprint(powerrchol.Fingerprint(testSystem(10, 10), testOptions()))
+	if out.Solver != want || out2.Solver != want {
+		t.Fatalf("solver fields %s, %s; want %s", out.Solver, out2.Solver, want)
+	}
 }
 
 func TestServerSparseRHSAndReturn(t *testing.T) {
@@ -140,7 +147,7 @@ func TestServerErrorStatuses(t *testing.T) {
 		want int
 	}{
 		{"unknown grid", SolveRequest{Grid: "beef", B: testRHS(n, 1)}, http.StatusNotFound},
-		{"bad rhs length", SolveRequest{Grid: grid, B: testRHS(n + 3, 1)}, http.StatusBadRequest},
+		{"bad rhs length", SolveRequest{Grid: grid, B: testRHS(n+3, 1)}, http.StatusBadRequest},
 		{"no rhs", SolveRequest{Grid: grid}, http.StatusBadRequest},
 		{"return out of range", SolveRequest{Grid: grid, B: testRHS(n, 1), Return: []int{n}}, http.StatusBadRequest},
 	}

@@ -216,7 +216,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 
 	gridFP, _ := ParseFingerprint(req.Grid) // validated by the decoder
 	s.gridsMu.Lock()
-	sys := s.grids[gridFP]
+	sys := s.grids[gridFP].sys
 	s.gridsMu.Unlock()
 	if sys == nil {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", req.Grid), 0)
